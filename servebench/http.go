@@ -128,13 +128,11 @@ func handlerAPI(h http.Handler) api {
 	}
 }
 
-// timed calls a and reports the round-trip time and the CPU time the
-// whole process spent meanwhile.
-func (a api) timed(method, path string, body []byte) (int, []byte, time.Duration, time.Duration, error) {
-	cpu0 := cpuTime()
+// timed calls a and reports the round-trip time.
+func (a api) timed(method, path string, body []byte) (int, []byte, time.Duration, error) {
 	begin := time.Now()
 	status, resp, err := a(method, path, body)
-	return status, resp, time.Since(begin), cpuTime() - cpu0, err
+	return status, resp, time.Since(begin), err
 }
 
 // json calls a, fails on any status but 200 and decodes the response.

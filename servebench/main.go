@@ -3,7 +3,7 @@
 // over HTTP, queries it, restarts it, checks every answer apart from
 // the serving path, and prints the metrics as one JSON line.
 //
-//	go run ./servebench --workload ingest --seed 1 --seconds 15 --trace 0
+//	go run ./servebench --workload ingest --seed 1 --seconds 20 --trace 0
 //
 // With --trace 0 it reports the end-to-end metrics of an untraced run;
 // with --trace 1 it drives the same workload through the server's
@@ -23,7 +23,7 @@ import (
 func main() {
 	workload := flag.String("workload", "", "workload: ingest, search or tiered")
 	seed := flag.Int64("seed", defaultSeed, "seed of the generated inputs")
-	seconds := flag.Int("seconds", 15, "seconds one run measures")
+	seconds := flag.Int("seconds", 20, "seconds one run measures")
 	trace := flag.Int("trace", 0, "1 runs the traced, layer-by-layer run")
 	flag.Parse()
 

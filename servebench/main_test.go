@@ -20,7 +20,7 @@ func tiny(sh shape) shape {
 	case "ingest":
 		sh.hosts, sh.capacity, sh.prefill, sh.warmup, sh.ingest, sh.cycles = 30, 3, 2, 1, 4, 2
 	case "search":
-		sh.hosts, sh.capacity, sh.warmup, sh.ingest, sh.cycles = 30, 3, 4, 2, 2
+		sh.hosts, sh.capacity, sh.prefill, sh.warmup, sh.ingest, sh.cycles = 30, 3, 3, 1, 2, 2
 	case "tiered":
 		sh.hosts, sh.capacity, sh.warmup, sh.ingest, sh.cycles = 20, 2, 1, 4, 2
 	}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"time"
 
 	"graphsig/internal/core"
@@ -86,8 +87,6 @@ type feeder struct {
 	closes []float64 // ms, timed POSTs that close a window
 	rates  []float64 // records/s of each timed window's POSTs
 	closed int       // windows closed by timed POSTs
-	// cpuLat and cpuCloses are the process CPU ms of the same POSTs.
-	cpuLat, cpuCloses []float64
 }
 
 // window posts every batch of horizon window w; after each batch it
@@ -97,7 +96,7 @@ func (f *feeder) window(w int, between func(i int) error) error {
 	accepted := 0
 	for i, b := range f.sh.batches(f.in, w) {
 		f.buf = encodeIngest(f.buf, b)
-		status, body, rtt, cpu, err := f.api.timed(http.MethodPost, "/v1/flows", f.buf)
+		status, body, rtt, err := f.api.timed(http.MethodPost, "/v1/flows", f.buf)
 		var res server.IngestResult
 		if err == nil && status == http.StatusOK {
 			err = json.Unmarshal(body, &res)
@@ -120,10 +119,8 @@ func (f *feeder) window(w int, between func(i int) error) error {
 			f.closed += res.WindowsClosed
 			if res.WindowsClosed > 0 {
 				f.closes = append(f.closes, ms(rtt))
-				f.cpuCloses = append(f.cpuCloses, ms(cpu))
 			} else {
 				f.lat = append(f.lat, ms(rtt))
-				f.cpuLat = append(f.cpuLat, ms(cpu))
 			}
 		}
 		if between != nil {
@@ -143,7 +140,6 @@ type reader struct {
 	api api
 	ops ops
 	lat map[string][]float64
-	cpu map[string][]float64 // process CPU ms of the same reads
 }
 
 func (r *reader) do(q query) error {
@@ -151,18 +147,17 @@ func (r *reader) do(q query) error {
 		status int
 		body   []byte
 		rtt    time.Duration
-		cpu    time.Duration
 		err    error
 	)
 	switch q.kind {
 	case "search":
-		status, body, rtt, cpu, err = r.api.timed(http.MethodPost, "/v1/search", searchBody(q.labels[0], "", 0))
+		status, body, rtt, err = r.api.timed(http.MethodPost, "/v1/search", searchBody(q.labels[0], "", 0))
 	case "sdice":
-		status, body, rtt, cpu, err = r.api.timed(http.MethodPost, "/v1/search", searchBody(q.labels[0], "sdice", sdiceMaxDist))
+		status, body, rtt, err = r.api.timed(http.MethodPost, "/v1/search", searchBody(q.labels[0], "sdice", sdiceMaxDist))
 	case "batch":
-		status, body, rtt, cpu, err = r.api.timed(http.MethodPost, "/v1/search/batch", batchBody(q.labels))
+		status, body, rtt, err = r.api.timed(http.MethodPost, "/v1/search/batch", batchBody(q.labels))
 	case "history":
-		status, body, rtt, cpu, err = r.api.timed(http.MethodGet, historyPath(q.labels[0]), nil)
+		status, body, rtt, err = r.api.timed(http.MethodGet, historyPath(q.labels[0]), nil)
 	}
 	if err == nil && status != http.StatusOK {
 		err = fmt.Errorf("%s %v: status %d: %s", q.kind, q.labels, status, body)
@@ -172,74 +167,179 @@ func (r *reader) do(q query) error {
 		return err
 	}
 	r.lat[q.kind] = append(r.lat[q.kind], ms(rtt))
-	r.cpu[q.kind] = append(r.cpu[q.kind], ms(cpu))
 	return nil
 }
 
-// runServe is the untraced run: it boots the server, feeds it over
+// stand is one set-up server: the generated inputs, the configuration
+// on the run's directories, the server booted on them, the feeder that
+// warmed it up, and the live heap just before the boot.
+type stand struct {
+	dir   string
+	in    *inputs
+	cfg   server.Config
+	n     *node
+	f     *feeder
+	heap0 uint64
+}
+
+// setUp generates the inputs, prefills the snapshot, boots the server
+// on dir and feeds it the warm-up windows.
+func setUp(sh shape, seed int64, dir string, c *http.Client, o ops) (stand, error) {
+	in, err := generate(sh, seed)
+	if err != nil {
+		return stand{}, err
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return stand{}, err
+	}
+	cfg := serverConfig(sh, in, dir)
+	if sh.prefill > 0 {
+		if _, err := prefill(cfg, in, sh.prefill); err != nil {
+			return stand{}, fmt.Errorf("prefill: %w", err)
+		}
+	}
+	heap0 := liveHeap()
+	n, err := boot(cfg, c)
+	if err != nil {
+		return stand{}, err
+	}
+	f := &feeder{sh: sh, api: httpAPI(c, n.base), in: in, ops: o}
+	for w := sh.prefill; w < sh.prefill+sh.warmup; w++ {
+		if err := f.window(w, nil); err != nil {
+			n.abort()
+			return stand{}, err
+		}
+	}
+	return stand{dir: dir, in: in, cfg: cfg, n: n, f: f, heap0: heap0}, nil
+}
+
+// runServe is the untraced run: it sets the server up, feeds it over
 // HTTP, queries it, restarts it, checks every answer and reports the
 // end-to-end metrics.
 func runServe(sh shape, seed int64, seconds time.Duration, dir string) (result, map[string]any, error) {
 	begin := time.Now()
 	steal0, gc0 := stealTicks(), numGC()
-	in, err := generate(sh, seed)
-	if err != nil {
-		return result{}, nil, err
-	}
-	cfg := serverConfig(sh, in, dir)
-	if sh.prefill > 0 {
-		if _, err := prefill(cfg, in, sh.prefill); err != nil {
-			return result{}, nil, fmt.Errorf("prefill: %w", err)
-		}
-	}
-	heap0 := liveHeap()
 	c := newClient()
 	defer c.CloseIdleConnections()
-	n, err := boot(cfg, c)
-	if err != nil {
-		return result{}, nil, err
+	o := ops{}
+
+	// Set-up runs setupRuns times, each from scratch on a directory of its
+	// own; setup_s is the median. Every set-up but the last is dropped.
+	var st stand
+	var setups []float64
+	for i := 0; i < setupRuns; i++ {
+		if st.n != nil {
+			if err := st.n.abort(); err != nil {
+				return result{}, nil, err
+			}
+			if err := os.RemoveAll(st.dir); err != nil {
+				return result{}, nil, err
+			}
+			st = stand{}
+			runtime.GC()
+		}
+		t := time.Now()
+		var err error
+		if st, err = setUp(sh, seed, filepath.Join(dir, strconv.Itoa(i)), c, o); err != nil {
+			return result{}, nil, err
+		}
+		setups = append(setups, time.Since(t).Seconds())
 	}
-	live := n
+	in, f := st.in, st.f
+	live := st.n
+	st.n = nil // the restarts drop it
 	defer func() {
 		if live != nil {
 			live.stop()
 		}
 	}()
-	o := ops{}
-	served := httpAPI(c, n.base)
-	f := &feeder{sh: sh, api: served, in: in, ops: o}
-	rd := &reader{api: served, ops: o, lat: map[string][]float64{}, cpu: map[string][]float64{}}
-	for w := sh.prefill; w < sh.prefill+sh.warmup; w++ {
-		if err := f.window(w, nil); err != nil {
-			return result{}, nil, err
-		}
-	}
-	setup := time.Since(begin)
+	// served reaches whichever server is live: the restarts replace it.
+	served := api(func(method, path string, body []byte) (int, []byte, error) {
+		return httpAPI(c, live.base)(method, path, body)
+	})
+	f.api = served
+	rd := &reader{api: served, ops: o, lat: map[string][]float64{}}
 
-	// The timed part: cycles of an ingest phase and a query phase, so
-	// that every metric samples the whole run rather than one slice of
-	// it; the host's speed drifts by several percent over seconds.
-	// Tiered also interleaves reads with the writes on a fixed schedule;
-	// their latencies are kept apart from the query phases'.
+	// Each restart adds up the live server's flow counters, since a boot
+	// starts them from zero, drops the server with Abort (the kill -9
+	// path) and boots it again on the same directories bootsPerCycle
+	// times. The snapshot holds every closed window and the WAL the open
+	// window's records, so every boot loads the snapshot, replays the
+	// open window from the WAL and attaches the segments. A boot writes
+	// nothing, as the replay closes no window, so the boots before the
+	// last are dropped with Abort as well. Every boot starts after a
+	// forced GC, so that no collection left over from earlier work lands
+	// in it. The last boot must serve every retained window and a sample
+	// of histories exactly as before, and it serves the rest of the run.
+	counters := map[string]int64{}
+	addCounters := func() error {
+		var cs map[string]int64
+		if err := served.json(http.MethodGet, "/metrics", nil, &cs); err != nil {
+			return err
+		}
+		for k, v := range cs {
+			counters[k] += v
+		}
+		return nil
+	}
+	var restarts []float64
+	restart := func(closed int) error {
+		if err := addCounters(); err != nil {
+			return err
+		}
+		a, err := readArchive(live.srv.Store(), expectedWindows(sh, closed))
+		if err != nil {
+			return err
+		}
+		want := captureWant(a, in.labels)
+		for b := 0; b < bootsPerCycle; b++ {
+			if err := live.abort(); err != nil {
+				return err
+			}
+			live = nil
+			runtime.GC()
+			t := time.Now()
+			m, err := boot(st.cfg, c)
+			o.note("restart", err != nil)
+			if err != nil {
+				return err
+			}
+			restarts = append(restarts, time.Since(t).Seconds())
+			live = m
+			if m.srv.Recovery().WALRecords == 0 {
+				return fmt.Errorf("boot replayed no WAL records")
+			}
+		}
+		return checkRestart(served, live.srv.Store(), want, sh, closed)
+	}
+
+	// The timed part: cycles of an ingest phase, a query phase and a
+	// restart, so that every metric samples the whole run rather than one
+	// slice of it; the host's speed drifts by several percent over
+	// seconds. Tiered also interleaves reads with the writes on a fixed
+	// schedule; their latencies are kept apart from the query phases'.
 	timedStart := time.Now()
-	wb0, _ := writeBytes()
-	inter := &reader{api: served, ops: o, lat: map[string][]float64{}, cpu: map[string][]float64{}}
+	inter := &reader{api: served, ops: o, lat: map[string][]float64{}}
 	rng := rand.New(rand.NewSource(seed))
 	between := func(i int) error {
-		if sh.readEvery == 0 || i%sh.readEvery != 0 {
+		if !sh.interleave {
 			return nil
 		}
 		kind := "search"
-		if i/sh.readEvery%2 == 1 {
+		if i%2 == 1 {
 			kind = "history"
 		}
 		return inter.do(query{kind, []string{in.labels[rng.Intn(len(in.labels))]}})
 	}
-	var ingestWall, queryWall time.Duration
+	var ingestWall, queryWall, restartWall time.Duration
+	var written int64 // storage writes over the ingest phases
+	var heap1 uint64
+	ioOK := true
 	rounds := sh.queryRounds(seconds)
 	w := sh.prefill + sh.warmup
 	for cycle := 0; cycle < sh.cycles; cycle++ {
 		t := time.Now()
+		wb0, ok0 := writeBytes()
 		f.timed = true
 		for end := w + sh.ingest/sh.cycles; w < end; w++ {
 			if err := f.window(w, between); err != nil {
@@ -247,7 +347,13 @@ func runServe(sh shape, seed int64, seconds time.Duration, dir string) (result, 
 			}
 		}
 		f.timed = false
+		wb1, ok1 := writeBytes()
+		written += wb1 - wb0
+		ioOK = ioOK && ok0 && ok1
 		ingestWall += time.Since(t)
+		if cycle == sh.cycles-1 {
+			heap1 = liveHeap()
+		}
 		t = time.Now()
 		for r := 0; r < rounds; r++ {
 			for _, q := range queryRound(rng, in.labels) {
@@ -257,15 +363,17 @@ func runServe(sh shape, seed int64, seconds time.Duration, dir string) (result, 
 			}
 		}
 		queryWall += time.Since(t)
+		t = time.Now()
+		if err := restart(w - 2); err != nil {
+			return result{}, nil, fmt.Errorf("restart in cycle %d: %w", cycle+1, err)
+		}
+		restartWall += time.Since(t)
 	}
-	wb1, ioOK := writeBytes()
-	heap1 := liveHeap()
 	timedWall := time.Since(timedStart)
 
-	// Checks on the live server.
+	// Checks on the live server, booted by the last restart.
 	last := sh.windows() - 2 // the last fed window is still open
-	var counters map[string]int64
-	if err := served.json(http.MethodGet, "/metrics", nil, &counters); err != nil {
+	if err := addCounters(); err != nil {
 		return result{}, nil, err
 	}
 	if err := checkAccounting(f.sent, f.total, counters, last+1); err != nil {
@@ -274,7 +382,7 @@ func runServe(sh shape, seed int64, seconds time.Duration, dir string) (result, 
 	if f.total.Accepted != f.sent {
 		return result{}, nil, fmt.Errorf("flow accounting: %d of %d records accepted", f.total.Accepted, f.sent)
 	}
-	a, err := readArchive(n.srv.Store(), expectedWindows(sh, last))
+	a, err := readArchive(live.srv.Store(), expectedWindows(sh, last))
 	if err != nil {
 		return result{}, nil, err
 	}
@@ -284,29 +392,31 @@ func runServe(sh shape, seed int64, seconds time.Duration, dir string) (result, 
 	if err := checkAnswers(served, a, in.labels, seed); err != nil {
 		return result{}, nil, err
 	}
-
-	// Restart: Shutdown flushes the open window; every boot after it
-	// must serve the same archive.
+	// Shutdown closes the open window, which the last boot rebuilt from
+	// the WAL.
+	n := live
+	live = nil
 	if err := n.stop(); err != nil {
 		return result{}, nil, err
 	}
-	live = nil
-	last++
-	before, err := readArchive(n.srv.Store(), expectedWindows(sh, last))
-	if err != nil {
-		return result{}, nil, err
+	a, err = readArchive(n.srv.Store(), expectedWindows(sh, last+1))
+	if err == nil {
+		err = checkArchive(sh, in, a, last+1)
 	}
-	if err := checkArchive(sh, in, before, last); err != nil {
+	if err != nil {
 		return result{}, nil, fmt.Errorf("after shutdown: %w", err)
 	}
-	want := captureWant(before, in.labels)
-	if !ioOK || wb1 <= wb0 {
-		return result{}, nil, fmt.Errorf("no storage writes seen in /proc/self/io over the timed part (is the state on tmpfs?)")
+	if !ioOK || written <= 0 {
+		return result{}, nil, fmt.Errorf("no storage writes seen in /proc/self/io over the ingest phases (is the state on tmpfs?)")
 	}
+
+	attempted, failed := o.totals()
 	res := result{
-		Correct: true,
+		Correct:   true,
+		Attempted: attempted,
+		Failed:    failed,
 		Metrics: map[string]metric{
-			"setup_s":                  {setup.Seconds(), "s"},
+			"setup_s":                  {median(setups), "s"},
 			"ingest_rps":               {median(f.rates), "1/s"},
 			"ingest_p50_ms":            {median(f.lat), "ms"},
 			"close_stall_p50_ms":       {median(f.closes), "ms"},
@@ -314,69 +424,31 @@ func runServe(sh shape, seed int64, seconds time.Duration, dir string) (result, 
 			"search_sdice_p50_ms":      {median(rd.lat["sdice"]), "ms"},
 			"batch_p50_ms":             {median(rd.lat["batch"]), "ms"},
 			"history_p50_ms":           {median(rd.lat["history"]), "ms"},
-			"heap_per_source_kb":       {float64(heap1-min(heap0, heap1)) / 1024 / float64(in.sources), "KiB"},
-			"disk_write_kb_per_window": {float64(wb1-wb0) / 1024 / float64(f.closed), "KiB"},
+			"restart_s":                {median(restarts), "s"},
+			"heap_per_source_kb":       {float64(heap1-min(st.heap0, heap1)) / 1024 / float64(in.sources), "KiB"},
+			"disk_write_kb_per_window": {float64(written) / 1024 / float64(f.closed), "KiB"},
 		},
 	}
 	diag := map[string]any{
 		"host":            host(),
+		"steal_s":         float64(stealTicks()-steal0) / 100,
+		"gc_cycles":       numGC() - gc0,
 		"peak_rss_mb":     peakRSSMB(),
+		"ops":             o.table(),
+		"wall_s":          time.Since(begin).Seconds(),
+		"setups_s":        setups,
 		"ingest_wall_s":   ingestWall.Seconds(),
 		"query_wall_s":    queryWall.Seconds(),
+		"restart_wall_s":  restartWall.Seconds(),
 		"timed_wall_s":    timedWall.Seconds(),
 		"query_rounds":    rounds * sh.cycles,
-		"samples":         map[string]int{"ingest": len(f.lat), "close": len(f.closes), "search": len(rd.lat["search"]), "sdice": len(rd.lat["sdice"]), "batch": len(rd.lat["batch"]), "history": len(rd.lat["history"])},
+		"restarts_s":      restarts,
+		"samples":         map[string]int{"ingest": len(f.lat), "close": len(f.closes), "search": len(rd.lat["search"]), "sdice": len(rd.lat["sdice"]), "batch": len(rd.lat["batch"]), "history": len(rd.lat["history"]), "restart": len(restarts)},
 		"records_sent":    f.sent,
 		"windows_closed":  f.total.WindowsClosed,
 		"interleaved_p50": map[string]float64{"search_ms": median(inter.lat["search"]), "history_ms": median(inter.lat["history"])},
 		"search_p90_ms":   quantile(rd.lat["search"], 0.9),
-		"cpu_p50_ms": map[string]float64{"ingest": median(f.cpuLat), "close": median(f.cpuCloses),
-			"search": median(rd.cpu["search"]), "sdice": median(rd.cpu["sdice"]),
-			"batch": median(rd.cpu["batch"]), "history": median(rd.cpu["history"])},
 	}
-	// Drop the inputs and the first server before the boots, so that each
-	// boot runs on a heap about as small as a fresh process's and no
-	// collection of the benchmark's own data lands in it.
-	n, a, before, f.in, in.pool, in.truth = nil, archive{}, archive{}, nil, nil, nil
-	// A boot only reads the directories, so after the first one the
-	// server is dropped with Abort (the kill -9 path) and booted again on
-	// the same state; the last boot is shut down cleanly. Each boot starts
-	// after a forced GC, as a fresh process would start with an empty
-	// heap, so that no collection left over from earlier work lands in it.
-	var restarts []float64
-	for i := 0; i < restartBoots; i++ {
-		runtime.GC()
-		t := time.Now()
-		m, err := boot(cfg, c)
-		o.note("restart", err != nil)
-		if err != nil {
-			return result{}, nil, err
-		}
-		restarts = append(restarts, time.Since(t).Seconds())
-		live = m
-		if i == 0 || i == restartBoots-1 {
-			if err := checkRestart(httpAPI(c, m.base), m.srv.Store(), want, sh, last); err != nil {
-				return result{}, nil, fmt.Errorf("restart %d: %w", i+1, err)
-			}
-		}
-		if i < restartBoots-1 {
-			err = m.abort()
-		} else {
-			err = m.stop()
-		}
-		live = nil
-		if err != nil {
-			return result{}, nil, err
-		}
-	}
-
-	res.Metrics["restart_s"] = metric{median(restarts), "s"}
-	res.Attempted, res.Failed = o.totals()
-	diag["restarts_s"] = restarts
-	diag["ops"] = o.table()
-	diag["steal_s"] = float64(stealTicks()-steal0) / 100
-	diag["gc_cycles"] = numGC() - gc0
-	diag["wall_s"] = time.Since(begin).Seconds()
 	return res, diag, nil
 }
 

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 )
 
@@ -134,16 +133,6 @@ func peakRSSMB() float64 {
 		}
 	}
 	return 0
-}
-
-// cpuTime is the CPU time the process has used, user and system, in all
-// its threads.
-func cpuTime() time.Duration {
-	var ru syscall.Rusage
-	if syscall.Getrusage(syscall.RUSAGE_SELF, &ru) != nil {
-		return 0
-	}
-	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // liveHeap forces a collection and reports the live heap in bytes.

@@ -21,10 +21,9 @@ import (
 // restart); the shapes decide which layer does most of the work.
 type shape struct {
 	name string
-	// hosts and meanFlows size the datagen enterprise model: local
-	// labels, and mean flow records per host per window.
-	hosts     int
-	meanFlows float64
+	// hosts is the number of local labels of the datagen enterprise
+	// model; the other generator settings keep their defaults.
+	hosts int
 	// pool distinct windows are generated; the horizon cycles through
 	// them, shifted in time, so a long horizon costs pool windows of
 	// generation instead of one per window.
@@ -33,17 +32,17 @@ type shape struct {
 	capacity int
 	segments bool
 	// prefill windows are archived into the snapshot before the server
-	// boots, so the timed closes of a long-horizon workload already run
-	// against a full ring. warmup windows are then fed over HTTP before
-	// timing starts, and ingest windows are fed while timed. The last
-	// fed window stays open until shutdown.
+	// boots, so the timed closes already run against a full ring without
+	// a long ingest over HTTP first. warmup windows are then fed over
+	// HTTP before timing starts, and ingest windows are fed while timed.
+	// The last fed window stays open until shutdown.
 	prefill, warmup, ingest int
-	// readEvery interleaves one read (an unbounded search or a
-	// full-history lookup, alternating) after every readEvery writer
-	// batches of the timed ingest phase; 0 means no interleaved reads.
-	readEvery int
+	// interleave issues one read (an unbounded search or a full-history
+	// lookup, alternating) after every writer batch of the timed ingest
+	// phase.
+	interleave bool
 	// The timed part runs cycles of an ingest phase (ingest/cycles
-	// windows) and a query phase. queryRate sets the query rounds per
+	// windows), a query phase and a restart. queryRate sets the query rounds per
 	// second of --seconds; it is fixed work, not a deadline, so that two
 	// runs of one length measure the same operations.
 	cycles    int
@@ -56,31 +55,33 @@ type shape struct {
 // is the number of label queries in one POST /v1/search/batch, and
 // sdiceMaxDist the threshold of the thresholded SDice label search.
 const (
-	replayBatch  = 2000
-	batchQueries = 16
-	sdiceMaxDist = 0.8
-	topK         = 10
-	sigLength    = 10
-	restartBoots = 9
-	checkQueries = 8
-	layerQueries = 24
-	defaultSeed  = 1
+	replayBatch   = 2000
+	batchQueries  = 16
+	sdiceMaxDist  = 0.8
+	topK          = 10
+	sigLength     = 10
+	restartBoots  = 9
+	setupRuns     = 3
+	bootsPerCycle = 2
+	checkQueries  = 8
+	layerQueries  = 24
+	defaultSeed   = 1
 )
 
 var shapes = []shape{
 	{
-		name: "ingest", hosts: 2000, meanFlows: 42, pool: 4,
+		name: "ingest", hosts: 2000, pool: 4,
 		capacity: 16, prefill: 15, warmup: 1, ingest: 12,
 		cycles: 4, queryRate: 1.2, batch: replayBatch,
 	},
 	{
-		name: "search", hosts: 1000, meanFlows: 42, pool: 4,
-		capacity: 6, warmup: 7, ingest: 18,
+		name: "search", hosts: 1000, pool: 4,
+		capacity: 6, prefill: 6, warmup: 1, ingest: 18,
 		cycles: 6, queryRate: 13, batch: replayBatch,
 	},
 	{
-		name: "tiered", hosts: 150, meanFlows: 42, pool: 4,
-		capacity: 2, segments: true, warmup: 1, ingest: 30, readEvery: 1,
+		name: "tiered", hosts: 150, pool: 4,
+		capacity: 2, segments: true, warmup: 1, ingest: 30, interleave: true,
 		cycles: 5, queryRate: 2.5, batch: replayBatch,
 	},
 }
@@ -128,7 +129,6 @@ func generate(sh shape, seed int64) (*inputs, error) {
 	gen.LocalHosts = sh.hosts
 	gen.ExternalHosts = max(8*sh.hosts, 200)
 	gen.Windows = sh.pool
-	gen.MeanFlows = sh.meanFlows
 	gen.MultiusageIndividuals = min(gen.MultiusageIndividuals, sh.hosts/15)
 	data, err := datagen.GenerateEnterprise(gen)
 	if err != nil {
@@ -186,7 +186,7 @@ func (in *inputs) window(w int) []netflow.Record {
 }
 
 // truthOf returns the exact content of horizon window w.
-func (in *inputs) truthOf(w int) windowTruth { return in.truth[w%len(in.pool)] }
+func (in *inputs) truthOf(w int) windowTruth { return in.truth[w%len(in.truth)] }
 
 // batches splits horizon window w into POST-sized batches.
 func (sh shape) batches(in *inputs, w int) [][]netflow.Record {
