@@ -443,6 +443,7 @@ func runServe(sh shape, seed int64, seconds time.Duration, dir string) (result, 
 		"timed_wall_s":    timedWall.Seconds(),
 		"query_rounds":    rounds * sh.cycles,
 		"restarts_s":      restarts,
+		"closes_ms":       f.closes,
 		"samples":         map[string]int{"ingest": len(f.lat), "close": len(f.closes), "search": len(rd.lat["search"]), "sdice": len(rd.lat["sdice"]), "batch": len(rd.lat["batch"]), "history": len(rd.lat["history"]), "restart": len(restarts)},
 		"records_sent":    f.sent,
 		"windows_closed":  f.total.WindowsClosed,

@@ -71,13 +71,13 @@ const (
 var shapes = []shape{
 	{
 		name: "ingest", hosts: 2000, pool: 4,
-		capacity: 16, prefill: 15, warmup: 1, ingest: 12,
+		capacity: 16, prefill: 15, warmup: 1, ingest: 16,
 		cycles: 4, queryRate: 1.2, batch: replayBatch,
 	},
 	{
 		name: "search", hosts: 1000, pool: 4,
-		capacity: 6, prefill: 6, warmup: 1, ingest: 18,
-		cycles: 6, queryRate: 13, batch: replayBatch,
+		capacity: 6, prefill: 6, warmup: 1, ingest: 36,
+		cycles: 6, queryRate: 7, batch: replayBatch,
 	},
 	{
 		name: "tiered", hosts: 150, pool: 4,
